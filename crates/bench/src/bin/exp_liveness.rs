@@ -18,12 +18,11 @@
 //!   scenario that declares `expect.liveness`; exit non-zero on any
 //!   mismatch. With `--artifacts`, rendered lassos of violated runs are
 //!   written to `DIR` (one `.lasso.txt` per scenario).
-//! * `exp_liveness --bench-json [PATH] [--threads N]` — record a
-//!   machine-readable snapshot of the liveness hot path (fair-graph
-//!   build sequential vs. threaded, plus the SCC check pass) to `PATH`
-//!   (default `BENCH_liveness.json`). `--threads` caps the threaded
-//!   sweep. Threaded entries carry the same `comparable` /
-//!   `speedup_vs_sequential` fields as `BENCH_modelcheck.json`.
+//!
+//! The times in the table are single runs. For measured liveness
+//! throughput (repeated runs, medians, build/check split, the 2-thread
+//! build speedup) use the repository benchmark:
+//! `python3 perfbench/run.py --workload liveness-s4`.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -31,19 +30,14 @@ use tta_analysis::tables::Table;
 use tta_bench::{fmt_duration, heading};
 use tta_conformance::{ExpectedVerdict, Scenario};
 use tta_core::{
-    cluster_startup_fairness, narrate_lasso, node_integration_property, verify_cluster_liveness,
-    ClusterCodec, ClusterConfig, ClusterModel, LivenessReport, Verdict,
+    narrate_lasso, verify_cluster_liveness, ClusterConfig, ClusterModel, LivenessReport, Verdict,
 };
 use tta_guardian::CouplerAuthority;
-use tta_liveness::FairGraph;
-use tta_modelcheck::DEFAULT_MAX_STATES;
 
 fn main() {
     let mut artifacts: Option<PathBuf> = None;
     let mut scenarios: Vec<PathBuf> = Vec::new();
-    let mut bench_json: Option<String> = None;
-    let mut threads: Option<usize> = None;
-    let mut iter = std::env::args().skip(1).peekable();
+    let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--artifacts" => {
@@ -52,33 +46,11 @@ fn main() {
                     .unwrap_or_else(|| usage("--artifacts needs a directory"));
                 artifacts = Some(PathBuf::from(dir));
             }
-            "--bench-json" => {
-                let path = match iter.peek() {
-                    Some(next) if !next.starts_with("--") => iter.next().expect("peeked"),
-                    _ => "BENCH_liveness.json".to_string(),
-                };
-                bench_json = Some(path);
-            }
-            "--threads" => {
-                let value = iter
-                    .next()
-                    .unwrap_or_else(|| usage("--threads needs a value"));
-                threads = Some(
-                    value
-                        .parse()
-                        .unwrap_or_else(|_| usage("--threads needs an integer")),
-                );
-            }
             other if other.starts_with("--") => usage(&format!("unknown flag {other}")),
             path => scenarios.push(PathBuf::from(path)),
         }
     }
-    if let Some(path) = bench_json {
-        if !scenarios.is_empty() || artifacts.is_some() {
-            usage("--bench-json does not combine with scenario mode");
-        }
-        bench_snapshot(&path, threads);
-    } else if scenarios.is_empty() {
+    if scenarios.is_empty() {
         if artifacts.is_some() {
             usage("--artifacts only applies to scenario mode");
         }
@@ -90,9 +62,7 @@ fn main() {
 
 fn usage(problem: &str) -> ! {
     eprintln!("error: {problem}");
-    eprintln!(
-        "usage: exp_liveness [--artifacts DIR] [SCENARIO.toml...] | --bench-json [PATH] [--threads N]"
-    );
+    eprintln!("usage: exp_liveness [--artifacts DIR] [SCENARIO.toml...]");
     std::process::exit(2);
 }
 
@@ -239,127 +209,4 @@ fn scenario_mode(paths: &[PathBuf], artifacts: Option<&Path>) -> ! {
     }
     println!("\n{checked} scenario(s) checked, {failures} failure(s)");
     std::process::exit(i32::from(failures > 0));
-}
-
-/// Records `BENCH_liveness.json`: for the two headline S4 configs, the
-/// sequential fair-graph build time, the per-node SCC check time, and
-/// the threaded builds with their speedups. The stub `serde_json`
-/// cannot serialize maps, so the JSON is written by hand.
-fn bench_snapshot(path: &str, max_threads: Option<usize>) {
-    // detlint: allow(DL03) reason=bench sizing and host reporting only; measured worker counts are fixed in the sweep
-    let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
-    heading("liveness hot-path snapshot (fair-graph build + SCC checks)");
-    println!("host CPUs: {host_cpus}");
-
-    let cap = max_threads.unwrap_or(4);
-    let sweep: Vec<usize> = [2usize, 4].into_iter().filter(|&t| t <= cap).collect();
-
-    let mut run_blocks = Vec::new();
-    // Full shifting explores ~90× the states of small shifting; one
-    // timed repetition keeps the snapshot affordable there.
-    for (label, authority, runs) in [
-        ("paper/small-shifting", CouplerAuthority::SmallShifting, 3),
-        ("paper/full-shifting", CouplerAuthority::FullShifting, 1),
-    ] {
-        let config = ClusterConfig::paper(authority);
-        let model = ClusterModel::new(config);
-        let codec = ClusterCodec::new(&config);
-        let fairness = cluster_startup_fairness(config.nodes);
-
-        let mut graph = None;
-        let mut build_secs = f64::INFINITY;
-        for _ in 0..runs {
-            // detlint: allow(DL02) reason=benchmark measurement; wall-clock is the quantity this binary reports
-            let started = Instant::now();
-            let g = FairGraph::build(&model, &codec, &fairness, DEFAULT_MAX_STATES);
-            build_secs = build_secs.min(started.elapsed().as_secs_f64());
-            graph = Some(g);
-        }
-        let graph = graph.expect("ran at least once");
-        let states = graph.state_count();
-        println!(
-            "{label}: {states} states, {} edges, built in {}",
-            graph.edge_count(),
-            fmt_duration(std::time::Duration::from_secs_f64(build_secs))
-        );
-
-        // detlint: allow(DL02) reason=benchmark measurement; wall-clock is the quantity this binary reports
-        let check_started = Instant::now();
-        let mut sccs_examined = 0u64;
-        let mut verdicts = Vec::with_capacity(config.nodes);
-        for node in 0..config.nodes {
-            let outcome = graph.check(&node_integration_property(node));
-            sccs_examined += outcome.stats.sccs_examined;
-            verdicts.push(outcome.verdict);
-        }
-        let check_secs = check_started.elapsed().as_secs_f64();
-        let verdict = if verdicts.contains(&Verdict::Violated) {
-            Verdict::Violated
-        } else if verdicts.contains(&Verdict::BudgetExhausted) {
-            Verdict::BudgetExhausted
-        } else {
-            Verdict::Holds
-        };
-        println!(
-            "  {} per-node checks: {verdict:?}, {sccs_examined} SCCs in {}",
-            config.nodes,
-            fmt_duration(std::time::Duration::from_secs_f64(check_secs))
-        );
-
-        let mut threaded_entries = Vec::new();
-        for &threads in &sweep {
-            let mut secs = f64::INFINITY;
-            for _ in 0..runs {
-                // detlint: allow(DL02) reason=benchmark measurement; wall-clock is the quantity this binary reports
-                let started = Instant::now();
-                let g = FairGraph::build_with_threads(
-                    &model,
-                    &codec,
-                    &fairness,
-                    DEFAULT_MAX_STATES,
-                    threads,
-                );
-                secs = secs.min(started.elapsed().as_secs_f64());
-                assert_eq!(g.state_count(), states, "threaded build must agree");
-                assert_eq!(
-                    g.edge_count(),
-                    graph.edge_count(),
-                    "threaded build must agree"
-                );
-            }
-            let comparable = threads <= host_cpus;
-            let speedup = build_secs / secs;
-            println!(
-                "  threaded build, {threads} thread(s): {} ({speedup:.2}x sequential{})",
-                fmt_duration(std::time::Duration::from_secs_f64(secs)),
-                if comparable { "" } else { ", not comparable" }
-            );
-            threaded_entries.push(format!(
-                "        {{\"threads\": {threads}, \"seconds\": {secs:.6}, \
-                 \"speedup_vs_sequential\": {speedup:.3}, \"comparable\": {comparable}}}"
-            ));
-        }
-
-        run_blocks.push(format!(
-            "    {{\n      \"config\": \"{label}\",\n      \"verdict\": \"{verdict:?}\",\n      \
-             \"states\": {states},\n      \"edges\": {},\n      \"sccs_examined\": {sccs_examined},\n      \
-             \"build\": {{\"seconds\": {build_secs:.6}, \"states_per_second\": {:.0}}},\n      \
-             \"check_seconds\": {check_secs:.6},\n      \"threaded_build\": [\n{}\n      ]\n    }}",
-            graph.edge_count(),
-            states as f64 / build_secs,
-            threaded_entries.join(",\n"),
-        ));
-    }
-
-    let json = format!(
-        "{{\n  \"snapshot\": \"liveness_throughput\",\n  \"host_cpus\": {host_cpus},\n  \
-         \"note\": \"entries with comparable=false used more threads than host CPUs and only time-slice one core; judge scaling on comparable entries\",\n  \
-         \"runs\": [\n{}\n  ]\n}}\n",
-        run_blocks.join(",\n"),
-    );
-    std::fs::write(path, &json).unwrap_or_else(|e| {
-        eprintln!("error: cannot write {path}: {e}");
-        std::process::exit(1);
-    });
-    println!("\nwrote {path}");
 }

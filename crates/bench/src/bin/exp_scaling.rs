@@ -8,83 +8,47 @@
 //! Flags:
 //!
 //! * `--threads N` — run the S1 sweeps with the parallel BFS backend at
-//!   `N` worker threads instead of sequential BFS. Combined with
-//!   `--bench-json`, caps the parallel sweep at `N` threads instead.
-//! * `--bench-json [PATH]` — skip the tables and instead record a
-//!   machine-readable throughput snapshot (sequential vs. seed-style
-//!   visited set vs. parallel at 1/2/4/8 threads, plus visited-set byte
-//!   accounting) to `PATH` (default `BENCH_modelcheck.json`). Each
-//!   parallel entry records its speedup over the sequential run and a
-//!   `comparable` flag that is `false` whenever the entry used more
-//!   threads than the host has CPUs — time-slicing one core says
-//!   nothing about parallel scaling, so consumers (the CI bench gate)
-//!   must skip non-comparable entries.
+//!   `N` worker threads instead of sequential BFS.
+//!
+//! The times in the tables are single runs. For measured explorer
+//! throughput (repeated runs, medians, the 2-thread speedup) use the
+//! repository benchmark: `python3 perfbench/run.py --workload safety-n5`.
 
 use std::time::Instant;
 use tta_analysis::tables::Table;
-use tta_bench::{fmt_duration, heading, seed_style_bfs};
-use tta_core::{
-    verify_cluster_with, CheckStrategy, ClusterConfig, ClusterModel, FaultBudget, Verdict,
-};
+use tta_bench::{fmt_duration, heading};
+use tta_core::{verify_cluster_with, CheckStrategy, ClusterConfig, FaultBudget, Verdict};
 use tta_guardian::CouplerAuthority;
 
-struct Args {
-    threads: Option<usize>,
-    bench_json: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        threads: None,
-        bench_json: None,
-    };
-    let mut iter = std::env::args().skip(1).peekable();
+/// Parses `[--threads N]` into the checking strategy.
+fn parse_strategy() -> CheckStrategy {
+    let mut strategy = CheckStrategy::Bfs;
+    let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--threads" => {
                 let value = iter
                     .next()
                     .unwrap_or_else(|| usage("--threads needs a value"));
-                args.threads = Some(
-                    value
-                        .parse()
-                        .unwrap_or_else(|_| usage("--threads needs an integer")),
-                );
-            }
-            "--bench-json" => {
-                // Optional path operand; defaults to the committed snapshot name.
-                let path = match iter.peek() {
-                    Some(next) if !next.starts_with("--") => iter.next().expect("peeked"),
-                    _ => "BENCH_modelcheck.json".to_string(),
-                };
-                args.bench_json = Some(path);
+                let threads = value
+                    .parse()
+                    .unwrap_or_else(|_| usage("--threads needs an integer"));
+                strategy = CheckStrategy::ParallelBfs { threads };
             }
             other => usage(&format!("unknown argument {other}")),
         }
     }
-    args
+    strategy
 }
 
 fn usage(problem: &str) -> ! {
     eprintln!("error: {problem}");
-    eprintln!("usage: exp_scaling [--threads N] [--bench-json [PATH]]");
+    eprintln!("usage: exp_scaling [--threads N]");
     std::process::exit(2);
 }
 
-fn strategy_for(args: &Args) -> CheckStrategy {
-    match args.threads {
-        Some(threads) => CheckStrategy::ParallelBfs { threads },
-        None => CheckStrategy::Bfs,
-    }
-}
-
 fn main() {
-    let args = parse_args();
-    if let Some(path) = &args.bench_json {
-        bench_snapshot(path, args.threads);
-        return;
-    }
-    let strategy = strategy_for(&args);
+    let strategy = parse_strategy();
 
     heading("S1a — state space vs. cluster size (per coupler authority)");
     let mut table = Table::new(["nodes", "authority", "verdict", "states", "depth", "time"]);
@@ -145,108 +109,4 @@ fn main() {
     println!("a zero budget restores safety even for full shifting: the *capability to");
     println!("replay*, not the authority label, is what breaks the property. Constraining");
     println!("the budget lengthens the shortest counterexample, as the paper observes.");
-}
-
-/// One timed run; the minimum of `runs` repetitions (throughput snapshots
-/// should not be inflated by a cold first run).
-fn time_min<F: FnMut() -> u64>(runs: usize, mut f: F) -> (f64, u64) {
-    let mut best = f64::INFINITY;
-    let mut states = 0;
-    for _ in 0..runs {
-        // detlint: allow(DL02) reason=benchmark measurement; wall-clock is the quantity this binary reports
-        let started = Instant::now();
-        states = f();
-        best = best.min(started.elapsed().as_secs_f64());
-    }
-    (best, states)
-}
-
-fn json_run(seconds: f64, states: u64) -> String {
-    format!(
-        "{{\"seconds\": {seconds:.6}, \"states_per_second\": {:.0}}}",
-        states as f64 / seconds
-    )
-}
-
-/// Records `BENCH_modelcheck.json`. The stub `serde_json` the offline
-/// build patches in cannot serialize maps, so the JSON is written by
-/// hand — it is a handful of flat fields.
-fn bench_snapshot(path: &str, max_threads: Option<usize>) {
-    const RUNS: usize = 3;
-    let config = ClusterConfig::paper(CouplerAuthority::SmallShifting);
-    // detlint: allow(DL03) reason=bench sizing and host reporting only; measured worker counts are fixed in the sweep
-    let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
-    heading("model-checking throughput snapshot (paper config, small shifting)");
-    println!("host CPUs: {host_cpus}");
-
-    let (seed_secs, seed_states) = time_min(RUNS, || seed_style_bfs(&ClusterModel::new(config)));
-    println!(
-        "seed-style visited set: {seed_states} states in {}",
-        fmt_duration_secs(seed_secs)
-    );
-
-    let mut sequential = None;
-    let (seq_secs, seq_states) = time_min(RUNS, || {
-        let report = verify_cluster_with(&config, CheckStrategy::Bfs);
-        let states = report.stats.states_explored;
-        sequential = Some(report);
-        states
-    });
-    let sequential = sequential.expect("ran at least once");
-    assert_eq!(
-        seq_states, seed_states,
-        "both visited-set designs must agree"
-    );
-    println!(
-        "arena + compact codec:  {seq_states} states in {}",
-        fmt_duration_secs(seq_secs)
-    );
-
-    let cap = max_threads.unwrap_or(8);
-    let mut parallel_entries = Vec::new();
-    for threads in [1usize, 2, 4, 8].into_iter().filter(|&t| t <= cap) {
-        let (secs, states) = time_min(RUNS, || {
-            verify_cluster_with(&config, CheckStrategy::ParallelBfs { threads })
-                .stats
-                .states_explored
-        });
-        assert_eq!(
-            states, seq_states,
-            "parallel backend must agree at {threads} threads"
-        );
-        // More workers than CPUs only time-slices one core; such an
-        // entry says nothing about parallel scaling and is flagged so
-        // the CI bench gate skips it instead of failing on it.
-        let comparable = threads <= host_cpus;
-        let speedup = seq_secs / secs;
-        println!(
-            "parallel, {threads} thread(s): {states} states in {} ({speedup:.2}x sequential{})",
-            fmt_duration_secs(secs),
-            if comparable { "" } else { ", not comparable" }
-        );
-        parallel_entries.push(format!(
-            "    {{\"threads\": {threads}, \"seconds\": {secs:.6}, \"states_per_second\": {:.0}, \
-             \"speedup_vs_sequential\": {speedup:.3}, \"comparable\": {comparable}}}",
-            states as f64 / secs
-        ));
-    }
-
-    let json = format!(
-        "{{\n  \"snapshot\": \"model_checking_throughput\",\n  \"config\": \"paper/small-shifting\",\n  \"host_cpus\": {host_cpus},\n  \"note\": \"entries with comparable=false used more threads than host CPUs and only time-slice one core; judge scaling on comparable entries\",\n  \"states\": {},\n  \"visited_bytes\": {},\n  \"bytes_per_state\": {:.1},\n  \"seed_style_visited_set\": {},\n  \"sequential_arena\": {},\n  \"parallel_arena\": [\n{}\n  ]\n}}\n",
-        seq_states,
-        sequential.stats.visited_bytes,
-        sequential.stats.bytes_per_state(),
-        json_run(seed_secs, seed_states),
-        json_run(seq_secs, seq_states),
-        parallel_entries.join(",\n"),
-    );
-    std::fs::write(path, &json).unwrap_or_else(|e| {
-        eprintln!("error: cannot write {path}: {e}");
-        std::process::exit(1);
-    });
-    println!("\nwrote {path}");
-}
-
-fn fmt_duration_secs(secs: f64) -> String {
-    fmt_duration(std::time::Duration::from_secs_f64(secs))
 }

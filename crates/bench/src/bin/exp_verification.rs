@@ -13,8 +13,7 @@
 //!
 //! * `--json [PATH]` — additionally record the four rows machine-readably
 //!   (verdict, counterexample length, full exploration statistics) to
-//!   `PATH` (default `verification.json`), in the same hand-written JSON
-//!   style as `exp_scaling --bench-json`.
+//!   `PATH` (default `verification.json`) as hand-written JSON.
 
 use std::time::Instant;
 use tta_analysis::tables::Table;
@@ -28,7 +27,7 @@ fn parse_args() -> Option<String> {
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--json" => {
-                // Optional path operand, like exp_scaling --bench-json.
+                // Optional path operand; defaults to `verification.json`.
                 let path = match iter.peek() {
                     Some(next) if !next.starts_with("--") => iter.next().expect("peeked"),
                     _ => "verification.json".to_string(),

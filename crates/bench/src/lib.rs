@@ -1,8 +1,9 @@
 //! # tta-bench
 //!
 //! Experiment harness for the DSN 2004 reproduction: one `exp_*` binary
-//! per table/figure of the paper (see EXPERIMENTS.md for the index) plus
-//! Criterion micro-benchmarks.
+//! per table/figure of the paper (see EXPERIMENTS.md for the index).
+//! Times these binaries print are single runs; performance is measured
+//! by the repository benchmark, `python3 perfbench/run.py`.
 //!
 //! | binary | reproduces |
 //! |---|---|
@@ -24,55 +25,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
-use std::sync::Mutex;
 use std::time::Duration;
-use tta_core::{ClusterModel, ClusterState};
-use tta_modelcheck::hashing::fx_hash;
-use tta_modelcheck::TransitionSystem;
-
-/// Layer BFS over a reconstruction of the **seed's** visited-set design:
-/// a mutex-sharded `HashMap<State, Option<State>>` that clones every
-/// discovered state twice per insert (once as the map key, once as the
-/// parent link) and takes a lock per probe. The interning arena replaced
-/// this; benchmarks run it head-to-head against the arena to quantify
-/// what the replacement bought. Returns the number of distinct states.
-#[must_use]
-pub fn seed_style_bfs(model: &ClusterModel) -> u64 {
-    const SHARD_COUNT: usize = 64;
-    let shards: Vec<Mutex<HashMap<ClusterState, Option<ClusterState>>>> = (0..SHARD_COUNT)
-        .map(|_| Mutex::new(HashMap::new()))
-        .collect();
-    let shard_of = |s: &ClusterState| (fx_hash(s) >> 58) as usize;
-
-    let mut layer = model.initial_states();
-    for state in &layer {
-        shards[shard_of(state)]
-            .lock()
-            .expect("unpoisoned")
-            .insert(state.clone(), None);
-    }
-    let mut states = layer.len() as u64;
-    let mut succs = Vec::new();
-    while !layer.is_empty() {
-        let mut next = Vec::new();
-        for state in &layer {
-            succs.clear();
-            model.successors(state, &mut succs);
-            for succ in succs.drain(..) {
-                let mut shard = shards[shard_of(&succ)].lock().expect("unpoisoned");
-                if !shard.contains_key(&succ) {
-                    shard.insert(succ.clone(), Some(state.clone()));
-                    drop(shard);
-                    states += 1;
-                    next.push(succ);
-                }
-            }
-        }
-        layer = next;
-    }
-    states
-}
 
 // Campaign tables, golden-fixture comparison, and the shared campaign
 // CLI options moved to `tta-campaignd` when the daemon became their

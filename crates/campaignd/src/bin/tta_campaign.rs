@@ -11,28 +11,21 @@
 //!   `status` reports drain state and per-job chunk/lease/quarantine
 //!   detail; `drain` asks the daemon to finish leased chunks,
 //!   checkpoint, and exit (same as SIGTERM).
-//! * `bench` — the campaign-service throughput snapshot
-//!   (`BENCH_campaignd.json`): trials/sec at 1/2/4/8 workers against a
-//!   private in-process daemon, a warm-vs-cold cache comparison, and
-//!   the trial-supervision overhead.
 //!
-//! `submit` (and `bench`) go through the resilient client path: a
-//! dropped connection is retried with exponential backoff and the
-//! stream resumes idempotently — already-seen deterministic lines are
-//! skipped, so the assembled output is byte-identical to an
-//! uninterrupted run.
+//! `submit` goes through the resilient client path: a dropped
+//! connection is retried with exponential backoff and the stream
+//! resumes idempotently — already-seen deterministic lines are skipped,
+//! so the assembled output is byte-identical to an uninterrupted run.
 
 use std::io::Write;
 use std::path::PathBuf;
-use std::time::Instant;
 use tta_campaignd::client::{Client, ReconnectPolicy};
-use tta_campaignd::server::{Server, ServerConfig, ServerHandle};
 use tta_campaignd::spec::{
     parse_authority, parse_scenario, parse_topology, JobSpec, ScenarioSource,
 };
 use tta_protocol::RestartPolicy;
 
-const USAGE: &str = "tta_campaign <submit|status|ping|drain|shutdown|bench> [options]
+const USAGE: &str = "tta_campaign <submit|status|ping|drain|shutdown> [options]
 
   submit --scenario TOKEN | --scenario-file PATH
          [--socket PATH] [--nodes N] [--topology bus|star]
@@ -40,8 +33,7 @@ const USAGE: &str = "tta_campaign <submit|status|ping|drain|shutdown|bench> [opt
          [--policy never|immediate|bounded_retry:MAX,BACKOFF|watchdog:SLOTS]
          [--trials N] [--slots N] [--seed N] [--fault-duration N]
          [--workers N] [--ndjson PATH]
-  status|ping|drain|shutdown [--socket PATH]
-  bench  [--bench-json PATH]";
+  status|ping|drain|shutdown [--socket PATH]";
 
 fn die(why: &str) -> ! {
     eprintln!("error: {why}");
@@ -116,7 +108,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        "bench" => bench(&rest),
         other => die(&format!("unknown subcommand {other}")),
     }
 }
@@ -278,273 +269,4 @@ fn submit(rest: &[String]) {
             std::process::exit(1);
         }
     }
-}
-
-// --- bench ---------------------------------------------------------------
-
-/// The sweep the throughput snapshot times: big enough to shard across
-/// eight workers (64 trials = 8 journal chunks), heavy enough per trial
-/// (400 slots, transient fault, watchdog restarts) to dominate the
-/// protocol overhead.
-fn bench_spec() -> JobSpec {
-    JobSpec {
-        trials: 64,
-        policy: RestartPolicy::Watchdog { silence_slots: 8 },
-        fault_duration: Some(60),
-        ..JobSpec::new(ScenarioSource::Builtin(tta_sim::Scenario::SosSender))
-    }
-}
-
-struct BenchDaemon {
-    handle: Option<ServerHandle>,
-    state_dir: PathBuf,
-}
-
-impl BenchDaemon {
-    fn spawn(state_dir: PathBuf, workers: usize) -> BenchDaemon {
-        Self::spawn_cfg(state_dir, workers, |_| {})
-    }
-
-    fn spawn_cfg(
-        state_dir: PathBuf,
-        workers: usize,
-        configure: impl FnOnce(&mut ServerConfig),
-    ) -> BenchDaemon {
-        let mut config = ServerConfig::at(&state_dir);
-        config.workers = workers;
-        configure(&mut config);
-        let handle = Server::spawn(config).unwrap_or_else(|e| {
-            eprintln!("error: cannot spawn bench daemon: {e}");
-            std::process::exit(1);
-        });
-        BenchDaemon {
-            handle: Some(handle),
-            state_dir,
-        }
-    }
-
-    fn client(&self) -> Client {
-        Client::new(self.handle.as_ref().expect("live daemon").socket())
-    }
-}
-
-impl Drop for BenchDaemon {
-    fn drop(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            handle.shutdown();
-        }
-        let _ = std::fs::remove_dir_all(&self.state_dir);
-    }
-}
-
-fn bench(rest: &[String]) {
-    let mut out_path = PathBuf::from("BENCH_campaignd.json");
-    let mut iter = rest.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--bench-json" => match iter.next() {
-                Some(path) => out_path = PathBuf::from(path),
-                None => die("--bench-json needs a path"),
-            },
-            other => die(&format!("unknown argument {other}")),
-        }
-    }
-
-    // detlint: allow(DL03) reason=bench sizing and reporting only; worker counts under test are fixed explicitly below
-    let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
-    let spec = bench_spec();
-    let scratch = std::env::temp_dir().join(format!("campaignd-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-
-    eprintln!(
-        "campaign-service throughput: 64 trials, sos_sender, watchdog:8 ({host_cpus} host CPUs)"
-    );
-
-    // Cold-state scaling: a fresh daemon (empty journal dir, empty
-    // cache) per worker count, so every trial is computed.
-    let worker_counts = [1usize, 2, 4, 8];
-    let mut scaling = Vec::new();
-    let mut base_seconds = 0.0f64;
-    for &workers in &worker_counts {
-        let daemon = BenchDaemon::spawn(scratch.join(format!("w{workers}")), workers);
-        // detlint: allow(DL02) reason=benchmark measurement; wall-clock is the quantity this binary reports
-        let start = Instant::now();
-        let result = daemon
-            .client()
-            .submit_resilient(
-                &spec,
-                Some(workers),
-                &ReconnectPolicy::default(),
-                &mut |_| {},
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("error: bench submit failed: {e}");
-                std::process::exit(1);
-            });
-        let seconds = start.elapsed().as_secs_f64();
-        assert_eq!(
-            result.stats.cache_hits, 0,
-            "cold run must compute every trial"
-        );
-        if workers == 1 {
-            base_seconds = seconds;
-        }
-        let rate = f64::from(spec.trials) / seconds;
-        let comparable = workers <= host_cpus;
-        eprintln!(
-            "  workers {workers}: {seconds:.3} s, {rate:.0} trials/s{}",
-            if comparable { "" } else { " (oversubscribed)" }
-        );
-        scaling.push((workers, seconds, rate, base_seconds / seconds, comparable));
-    }
-
-    // Warm vs. cold cache on one daemon: submit cold, delete the
-    // journal so a resubmit cannot just resume, submit again — every
-    // trial should come from the result cache.
-    let warm_workers = 4.min(host_cpus).max(1);
-    let daemon = BenchDaemon::spawn(scratch.join("warm"), warm_workers);
-    let client = daemon.client();
-    // detlint: allow(DL02) reason=benchmark measurement; wall-clock is the quantity this binary reports
-    let start = Instant::now();
-    let cold = client
-        .submit_resilient(
-            &spec,
-            Some(warm_workers),
-            &ReconnectPolicy::default(),
-            &mut |_| {},
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("error: bench submit failed: {e}");
-            std::process::exit(1);
-        });
-    let cold_seconds = start.elapsed().as_secs_f64();
-    std::fs::remove_dir_all(daemon.state_dir.join("jobs")).unwrap_or_else(|e| {
-        eprintln!("error: cannot clear journals: {e}");
-        std::process::exit(1);
-    });
-    // detlint: allow(DL02) reason=benchmark measurement; wall-clock is the quantity this binary reports
-    let start = Instant::now();
-    let warm = client
-        .submit_resilient(
-            &spec,
-            Some(warm_workers),
-            &ReconnectPolicy::default(),
-            &mut |_| {},
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("error: bench submit failed: {e}");
-            std::process::exit(1);
-        });
-    let warm_seconds = start.elapsed().as_secs_f64();
-    assert_eq!(
-        u32::try_from(warm.stats.cache_hits).ok(),
-        Some(spec.trials),
-        "warm run must hit cache for every trial"
-    );
-    assert_eq!(cold.trials, warm.trials, "cache must not change results");
-    eprintln!(
-        "  cache ({warm_workers} workers): cold {cold_seconds:.3} s, warm {warm_seconds:.3} s \
-         ({:.1}x)",
-        cold_seconds / warm_seconds
-    );
-    drop(daemon);
-
-    // Supervision overhead: the same cold sweep with the supervisor
-    // effectively asleep (5 s scan tick, one-hour trial deadline — it
-    // never fires) vs the default tick. The delta bounds what
-    // per-trial sandboxing plus lease/deadline scanning cost a healthy
-    // run; the robustness budget is ≤5%. Each config is timed
-    // best-of-3 on a fresh cold daemon — single ~30 ms sweeps are
-    // dominated by scheduler noise otherwise.
-    let mut relaxed_seconds = f64::INFINITY;
-    let mut supervised_seconds = f64::INFINITY;
-    for round in 0..3 {
-        let relaxed_daemon = BenchDaemon::spawn_cfg(
-            scratch.join(format!("sup-relaxed-{round}")),
-            warm_workers,
-            |config| {
-                config.supervision.tick = std::time::Duration::from_secs(5);
-                config.supervision.trial_deadline = std::time::Duration::from_secs(3600);
-            },
-        );
-        // detlint: allow(DL02) reason=benchmark measurement; wall-clock is the quantity this binary reports
-        let start = Instant::now();
-        relaxed_daemon
-            .client()
-            .submit_resilient(
-                &spec,
-                Some(warm_workers),
-                &ReconnectPolicy::default(),
-                &mut |_| {},
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("error: bench submit failed: {e}");
-                std::process::exit(1);
-            });
-        relaxed_seconds = relaxed_seconds.min(start.elapsed().as_secs_f64());
-        drop(relaxed_daemon);
-        let supervised_daemon =
-            BenchDaemon::spawn(scratch.join(format!("sup-default-{round}")), warm_workers);
-        // detlint: allow(DL02) reason=benchmark measurement; wall-clock is the quantity this binary reports
-        let start = Instant::now();
-        supervised_daemon
-            .client()
-            .submit_resilient(
-                &spec,
-                Some(warm_workers),
-                &ReconnectPolicy::default(),
-                &mut |_| {},
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("error: bench submit failed: {e}");
-                std::process::exit(1);
-            });
-        supervised_seconds = supervised_seconds.min(start.elapsed().as_secs_f64());
-        drop(supervised_daemon);
-    }
-    let overhead_percent = (supervised_seconds / relaxed_seconds - 1.0) * 100.0;
-    eprintln!(
-        "  supervision ({warm_workers} workers): relaxed {relaxed_seconds:.3} s, \
-         supervised {supervised_seconds:.3} s ({overhead_percent:+.1}%)"
-    );
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"snapshot\": \"campaign_service_throughput\",\n");
-    json.push_str(
-        "  \"job\": \"sos_sender star/small_shifting watchdog:8, 64 trials x 400 slots\",\n",
-    );
-    json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    json.push_str(
-        "  \"note\": \"entries with comparable=false used more workers than host CPUs and only \
-         time-slice one core; judge scaling on comparable entries\",\n",
-    );
-    json.push_str("  \"workers\": [\n");
-    for (i, (workers, seconds, rate, speedup, comparable)) in scaling.iter().enumerate() {
-        let comma = if i + 1 < scaling.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"workers\": {workers}, \"seconds\": {seconds:.6}, \
-             \"trials_per_second\": {rate:.0}, \"speedup_vs_1\": {speedup:.3}, \
-             \"comparable\": {comparable}}}{comma}\n"
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"cache\": {{\"workers\": {warm_workers}, \"cold_seconds\": {cold_seconds:.6}, \
-         \"warm_seconds\": {warm_seconds:.6}, \"speedup\": {:.1}, \"warm_cache_hits\": {}}},\n",
-        cold_seconds / warm_seconds,
-        warm.stats.cache_hits
-    ));
-    json.push_str(&format!(
-        "  \"supervision\": {{\"workers\": {warm_workers}, \
-         \"relaxed_seconds\": {relaxed_seconds:.6}, \
-         \"supervised_seconds\": {supervised_seconds:.6}, \
-         \"overhead_percent\": {overhead_percent:.2}, \"budget_percent\": 5.0}}\n"
-    ));
-    json.push_str("}\n");
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| {
-        eprintln!("error: cannot write {}: {e}", out_path.display());
-        std::process::exit(1);
-    });
-    eprintln!("wrote {}", out_path.display());
 }

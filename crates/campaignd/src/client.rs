@@ -29,6 +29,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
+use tta_sim::campaign::mix;
 use tta_sim::{PlanRunMetrics, TrialAggregate, TrialResult};
 
 /// A client-side failure.
@@ -168,10 +169,7 @@ impl ReconnectPolicy {
             .saturating_mul(1u32 << attempt.saturating_sub(1).min(16));
         let capped = exp.min(self.cap).as_nanos() as u64;
         // SplitMix64 finalizer over (seed, attempt): stable jitter.
-        let mut z = self.seed ^ (u64::from(attempt)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = mix(self.seed ^ (u64::from(attempt)).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         // Scale into [0.75, 1.25).
         let jittered = capped / 1000 * (750 + z % 500);
         Duration::from_nanos(jittered.max(1))

@@ -253,20 +253,7 @@ pub fn verify_cluster_liveness(config: &ClusterConfig) -> LivenessReport {
 /// downgraded to `BudgetExhausted`.
 #[must_use]
 pub fn verify_cluster_liveness_with(config: &ClusterConfig, max_states: u64) -> LivenessReport {
-    verify_each_node_with(config, max_states, 1, node_integration_property)
-}
-
-/// [`verify_cluster_liveness_with`] building the fair graph with
-/// `threads` worker threads ([`FairGraph::build_with_threads`]); the
-/// graph — and therefore every verdict and lasso — is bit-identical to
-/// the sequential build at any thread count.
-#[must_use]
-pub fn verify_cluster_liveness_threaded(
-    config: &ClusterConfig,
-    max_states: u64,
-    threads: usize,
-) -> LivenessReport {
-    verify_each_node_with(config, max_states, threads, node_integration_property)
+    verify_each_node_with(config, max_states, node_integration_property)
 }
 
 /// Verifies recovery liveness — *every node's freeze leads back to
@@ -283,7 +270,7 @@ pub fn verify_cluster_recovery(config: &ClusterConfig) -> LivenessReport {
 /// downgraded to `BudgetExhausted`.
 #[must_use]
 pub fn verify_cluster_recovery_with(config: &ClusterConfig, max_states: u64) -> LivenessReport {
-    verify_each_node_with(config, max_states, 1, node_recovery_property)
+    verify_each_node_with(config, max_states, node_recovery_property)
 }
 
 /// Shared engine for the per-node leads-to checks: builds the fair
@@ -291,13 +278,12 @@ pub fn verify_cluster_recovery_with(config: &ClusterConfig, max_states: u64) -> 
 fn verify_each_node_with(
     config: &ClusterConfig,
     max_states: u64,
-    threads: usize,
     property_for: impl Fn(usize) -> Property<ClusterState>,
 ) -> LivenessReport {
     let model = ClusterModel::new(*config);
     let codec = ClusterCodec::new(config);
     let fairness = cluster_startup_fairness(config.nodes);
-    let graph = FairGraph::build_with_threads(&model, &codec, &fairness, max_states, threads);
+    let graph = FairGraph::build(&model, &codec, &fairness, max_states);
 
     let mut per_node = Vec::with_capacity(config.nodes);
     let mut violating_node = None;

@@ -1,11 +1,17 @@
 //! Deterministic pseudo-randomness for the fuzzer.
 //!
 //! The engine derives one [`FuzzRng`] per candidate from `(seed, round,
-//! index)` through the same SplitMix64 finalizer the campaign layer
-//! uses, so mutation decisions never depend on thread scheduling or
-//! global RNG state — a candidate's content is a pure function of its
-//! coordinates. No external RNG crate is involved: determinism across
-//! platforms and toolchains is the whole point.
+//! index)` through the campaign layer's SplitMix64 finalizer
+//! ([`mix`], re-exported from `tta_sim::campaign`), so mutation
+//! decisions never depend on thread scheduling or global RNG state — a
+//! candidate's content is a pure function of its coordinates. No
+//! external RNG crate is involved: determinism across platforms and
+//! toolchains is the whole point.
+
+// FNV-1a is the stable content hash behind corpus dedup keys and
+// emitted scenario names; it is the campaign service's job/cache hash.
+pub use tta_campaignd::hash::fnv1a64 as fnv1a;
+pub use tta_sim::campaign::mix;
 
 /// SplitMix64: tiny, fast, and statistically fine for fuzzing choices.
 #[derive(Debug, Clone)]
@@ -43,27 +49,6 @@ impl FuzzRng {
     pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         &items[self.gen_range(items.len() as u64) as usize]
     }
-}
-
-/// The SplitMix64 finalizer (also used by the campaign layer): a full
-/// avalanche, so neighboring inputs yield unrelated outputs.
-#[must_use]
-pub fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// FNV-1a over a byte string: the stable content hash behind corpus
-/// dedup keys and emitted scenario names.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
 }
 
 #[cfg(test)]

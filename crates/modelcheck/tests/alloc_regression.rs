@@ -13,6 +13,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use tta_modelcheck::{parallel::ParallelExplorer, Explorer, StateCodec, TransitionSystem, Verdict};
 
 struct CountingAllocator;
@@ -51,6 +52,15 @@ static ALLOC: CountingAllocator = CountingAllocator;
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// The counter is process-wide, and the test harness runs tests on
+/// parallel threads: a test measuring a window must hold this lock for
+/// its whole body, or it also counts the other tests' allocations.
+static MEASURING: Mutex<()> = Mutex::new(());
+
+fn measuring() -> MutexGuard<'static, ()> {
+    MEASURING.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A grid whose state is heap-free; successors write into the reused
@@ -95,6 +105,7 @@ impl StateCodec for PackCodec {
 
 #[test]
 fn interned_exploration_does_not_allocate_per_state() {
+    let _serial = measuring();
     let grid = Grid { bound: 100 };
     // Warm up lazy runtime allocations (stdout locks etc.) outside the
     // measured window.
@@ -120,6 +131,7 @@ fn interned_exploration_does_not_allocate_per_state() {
 
 #[test]
 fn chunked_exploration_does_not_allocate_per_state() {
+    let _serial = measuring();
     // The parallel explorer's chunked successor path: every frontier
     // chunk is expanded into one batched proposal vector, then merged.
     // Grid layers stay under the default chunk size, so `map_chunks`
@@ -150,6 +162,7 @@ fn chunked_exploration_does_not_allocate_per_state() {
 
 #[test]
 fn delta_exploration_does_not_allocate_per_state() {
+    let _serial = measuring();
     // The delta arena stores xor-deltas in one growing payload vector;
     // reconstruction uses a fixed stack buffer. Its allocation profile
     // must match the plain arena's: vector doublings and rehashes only.
@@ -172,6 +185,7 @@ fn delta_exploration_does_not_allocate_per_state() {
 
 #[test]
 fn counter_sees_per_state_allocations_when_they_happen() {
+    let _serial = measuring();
     // Sanity-check the instrument itself: exploring heap-carrying states
     // through the identity codec *must* allocate at least once per state
     // (each visited state owns a Vec). If this fails, the counting

@@ -463,9 +463,14 @@ pub struct Campaign {
     fault_duration: Option<u64>,
 }
 
-/// SplitMix64 finalizer: decorrelates the per-trial seeds derived from
-/// `(campaign seed, scenario, trial index)`.
-fn mix(mut z: u64) -> u64 {
+/// SplitMix64 finalizer: a full avalanche, so neighboring inputs yield
+/// unrelated outputs. Decorrelates the per-trial seeds derived from
+/// `(campaign seed, scenario, trial index)`; the campaign service's seed
+/// derivation, chaos injection and reconnect jitter and the fuzzer's RNG
+/// share it, so every seeded stream in the workspace uses one function.
+#[inline]
+#[must_use]
+pub fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

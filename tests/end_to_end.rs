@@ -2,8 +2,13 @@
 //! and wire layers must tell one consistent story.
 
 use tta::analysis;
-use tta::core::{verify_cluster, ClusterConfig, Verdict};
+use tta::core::{
+    cluster_startup_fairness, node_integration_property, verify_cluster, ClusterCodec,
+    ClusterConfig, ClusterModel, Verdict,
+};
 use tta::guardian::{buffer, CouplerAuthority, CouplerFaultMode};
+use tta::liveness::FairGraph;
+use tta::modelcheck::DEFAULT_MAX_STATES;
 use tta::sim::{
     Campaign, CouplerFaultEvent, FaultPersistence, FaultPlan, Scenario, SimBuilder, Topology,
 };
@@ -223,4 +228,37 @@ fn conformance_scenario_ties_the_engines_together() {
         "{}",
         outcome.report
     );
+}
+
+/// The threaded fair-graph build is the sequential build, on the real
+/// cluster model: the S4 small-shifting graph built with two workers has
+/// the same states, the same CSR rows and the same per-node
+/// `listening ~> integrated` verdicts as the one-worker build.
+#[test]
+fn threaded_liveness_graph_matches_the_sequential_build() {
+    let config = ClusterConfig::paper(CouplerAuthority::SmallShifting);
+    let model = ClusterModel::new(config);
+    let codec = ClusterCodec::new(&config);
+    let fairness = cluster_startup_fairness(config.nodes);
+    let build = |threads| {
+        FairGraph::build_with_threads(&model, &codec, &fairness, DEFAULT_MAX_STATES, threads)
+    };
+    let (sequential, threaded) = (build(1), build(2));
+
+    for graph in [&sequential, &threaded] {
+        assert_eq!(graph.state_count(), 40_055);
+        assert_eq!(graph.edge_count(), 222_993);
+        assert!(!graph.is_truncated());
+    }
+    let rows_match = (0..sequential.state_count() as u32).all(|v| {
+        sequential.state(v) == threaded.state(v)
+            && sequential.neighbors(v).eq(threaded.neighbors(v))
+            && sequential.enabled_mask(v) == threaded.enabled_mask(v)
+    });
+    assert!(rows_match, "threaded build must be bit-identical");
+    for node in 0..config.nodes {
+        let property = node_integration_property(node);
+        let verdicts = [&sequential, &threaded].map(|g| g.check(&property).verdict);
+        assert_eq!(verdicts, [Verdict::Holds; 2], "node {node}");
+    }
 }
