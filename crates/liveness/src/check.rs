@@ -29,7 +29,7 @@ use crate::fairness::FairAction;
 use crate::graph::FairGraph;
 use crate::lasso::Lasso;
 use crate::property::{Property, StatePredicate};
-use crate::scc::{tarjan_csr, SccDecomposition};
+use crate::scc::{tarjan_csr, SccDecomposition, NO_COMPONENT};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 use tta_modelcheck::{StateCodec, TransitionSystem, Verdict, DEFAULT_MAX_STATES};
@@ -124,6 +124,20 @@ enum Sources {
     Anywhere,
 }
 
+/// One component's weak-fairness support, accumulated by the single
+/// pass in [`FairGraph::check`]'s fair-cycle search.
+#[derive(Clone, Copy, Default)]
+struct Support {
+    /// Minimal member id (`u32::MAX` until a member is seen).
+    entry: u32,
+    /// Two or more members, or a self-loop.
+    cyclic: bool,
+    /// Actions disabled at some member.
+    disabled: u32,
+    /// Labels of the edges between members.
+    taken: u32,
+}
+
 struct CycleWitness {
     /// Path from an initial state up to (excluding) the cycle entry.
     stem_ids: Vec<u32>,
@@ -157,10 +171,17 @@ impl<C: StateCodec> FairGraph<'_, C> {
                 self.find_fair_cycle(&keep, &Sources::Restricted(sources))
             }
             Property::LeadsTo(p, q) => {
-                let p_holds = self.eval(p);
-                let keep: Vec<bool> = self.eval(q).iter().map(|h| !h).collect();
-                let sources: Vec<u32> = (0..self.state_count() as u32)
-                    .filter(|&v| p_holds[v as usize] && keep[v as usize])
+                // One decode per state serves both predicates.
+                let mut sources: Vec<u32> = Vec::new();
+                let keep: Vec<bool> = (0..self.state_count() as u32)
+                    .map(|v| {
+                        let state = self.state(v);
+                        let not_q = !q.holds(&state);
+                        if not_q && p.holds(&state) {
+                            sources.push(v);
+                        }
+                        not_q
+                    })
                     .collect();
                 self.find_fair_cycle(&keep, &Sources::Restricted(sources))
             }
@@ -197,9 +218,7 @@ impl<C: StateCodec> FairGraph<'_, C> {
             stats: LivenessStats {
                 states: self.state_count() as u64,
                 edges: self.edge_count() as u64,
-                deadlock_states: (0..self.state_count() as u32)
-                    .filter(|&v| self.is_deadlock(v))
-                    .count() as u64,
+                deadlock_states: self.deadlock_count(),
                 sccs_examined,
                 truncated: self.is_truncated(),
                 build_time: self.build_time(),
@@ -294,40 +313,49 @@ impl<C: StateCodec> FairGraph<'_, C> {
         let (offsets, targets) = self.csr();
         let scc = tarjan_csr(offsets, targets, Some(&active));
         let sccs_examined = scc.count as u64;
-        let groups = scc.groups();
         let all = self.all_actions();
 
-        // 3. Weak-fairness support test per component; pick the fair
-        //    component whose entry (minimal member id) is shallowest in
-        //    BFS order, for short stems and determinism.
-        let mut chosen: Option<(u32, usize)> = None;
-        for (cid, members) in groups.iter().enumerate() {
-            let mut has_self_loop = false;
-            let mut internal_taken = 0u32;
-            let mut disabled_somewhere = 0u32;
-            for &v in members {
-                disabled_somewhere |= !self.enabled_mask(v) & all;
-                for (w, label) in self.neighbors(v) {
-                    if active[w as usize] && scc.component[w as usize] == cid as u32 {
-                        internal_taken |= label;
-                        has_self_loop |= w == v;
-                    }
-                }
+        // 3. Weak-fairness support test, in one ascending pass over the
+        //    nodes: per component, the actions disabled at a member, the
+        //    labels of its internal edges, whether it holds a cycle, and
+        //    its minimal member as entry. Pick the fair component whose
+        //    entry is shallowest in BFS order, for short stems and
+        //    determinism.
+        let unseen = Support {
+            entry: u32::MAX,
+            ..Support::default()
+        };
+        let mut support = vec![unseen; scc.count];
+        for (v, &c) in (0u32..).zip(&scc.component) {
+            if c == NO_COMPONENT {
+                continue;
             }
-            let has_cycle = members.len() > 1 || has_self_loop;
-            if has_cycle && (disabled_somewhere | internal_taken) == all {
-                let entry = members[0]; // members ascend: minimal id
-                if chosen.is_none_or(|(best, _)| entry < best) {
-                    chosen = Some((entry, cid));
+            let s = &mut support[c as usize];
+            // A second member makes the component cyclic.
+            s.cyclic |= s.entry != u32::MAX;
+            s.entry = s.entry.min(v);
+            s.disabled |= !self.enabled_mask(v) & all;
+            for (w, label) in self.neighbors(v) {
+                if scc.component[w as usize] == c {
+                    s.taken |= label;
+                    s.cyclic |= w == v;
                 }
             }
         }
-        let Some((entry, cid)) = chosen else {
+        let Some((entry, cid)) = (0u32..)
+            .zip(&support)
+            .filter(|(_, s)| s.cyclic && (s.disabled | s.taken) == all)
+            .map(|(cid, s)| (s.entry, cid))
+            .min()
+        else {
             return (None, sccs_examined);
         };
 
         // 4. Stitch a fair closed walk through the component.
-        let cycle_ids = self.fair_walk(&active, &scc, cid, entry, &groups[cid]);
+        let members: Vec<u32> = (entry..n as u32)
+            .filter(|&v| scc.component[v as usize] == cid)
+            .collect();
+        let cycle_ids = self.fair_walk(&scc, cid, entry, &members);
 
         // 5. Assemble the stem.
         let stem_ids = match sources {
@@ -366,15 +394,8 @@ impl<C: StateCodec> FairGraph<'_, C> {
     /// component `cid` that witnesses weak fairness of every action:
     /// for each action the walk contains a state where it is disabled
     /// or traverses an edge taking it.
-    fn fair_walk(
-        &self,
-        active: &[bool],
-        scc: &SccDecomposition,
-        cid: usize,
-        entry: u32,
-        members: &[u32],
-    ) -> Vec<u32> {
-        let in_comp = |v: u32| active[v as usize] && scc.component[v as usize] == cid as u32;
+    fn fair_walk(&self, scc: &SccDecomposition, cid: u32, entry: u32, members: &[u32]) -> Vec<u32> {
+        let in_comp = |v: u32| scc.component[v as usize] == cid;
         let mut walk = vec![entry];
 
         // Fairness support accumulated incrementally as the walk grows:

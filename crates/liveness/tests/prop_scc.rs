@@ -1,10 +1,14 @@
 //! Property-based tests of the SCC core and the fair-cycle engine on
 //! randomized digraphs: the iterative Tarjan against a brute-force
-//! mutual-reachability reference, and every emitted lasso validated
-//! structurally (real edges, restriction respected, fairness witnessed).
+//! mutual-reachability reference, the per-component fairness support
+//! test against a reference built on it, and every emitted lasso
+//! validated structurally (real edges, restriction respected, fairness
+//! witnessed).
 
 use proptest::prelude::*;
-use tta_liveness::{strongly_connected_components, FairAction, LivenessChecker, Property, Verdict};
+use tta_liveness::{
+    strongly_connected_components, FairAction, FairGraph, LivenessChecker, Property, Verdict,
+};
 use tta_modelcheck::{IdentityCodec, TransitionSystem};
 
 /// A random digraph over `0..n` as adjacency lists.
@@ -143,6 +147,117 @@ fn reference_eventually_violated(graph: &RandomGraph, target: u32) -> bool {
     removed < active.len()
 }
 
+/// Whether node `v` is in the set `mask` (bit `v`; graphs stay below
+/// 32 nodes).
+fn in_set(mask: u32, v: u32) -> bool {
+    mask >> v & 1 == 1
+}
+
+/// Random weak-fairness actions: action `i` is taken on `a → b` iff `a`
+/// is in the set `from` and `b` in the set `to` of pair `i`.
+fn fair_actions(sets: &[(u32, u32)]) -> Vec<FairAction<u32>> {
+    sets.iter()
+        .enumerate()
+        .map(|(i, &(from, to))| {
+            FairAction::new(format!("a{i}"), move |a: &u32, b: &u32| {
+                in_set(from, *a) && in_set(to, *b)
+            })
+        })
+        .collect()
+}
+
+/// The label of `a → b` under `fair_actions(sets)`.
+fn reference_label(sets: &[(u32, u32)], a: u32, b: u32) -> u32 {
+    sets.iter()
+        .enumerate()
+        .filter(|&(_, &(from, to))| in_set(from, a) && in_set(to, b))
+        .fold(0, |acc, (i, _)| acc | 1 << i)
+}
+
+/// BFS discovery order from the initial state 0, as an id per node
+/// (`u32::MAX` when unreachable): the engine numbers states this way.
+fn bfs_ids(graph: &RandomGraph) -> Vec<u32> {
+    let mut id = vec![u32::MAX; graph.edges.len()];
+    let mut order = vec![0u32];
+    id[0] = 0;
+    let mut head = 0;
+    while head < order.len() {
+        let u = order[head];
+        head += 1;
+        for &v in &graph.edges[u as usize] {
+            if id[v as usize] == u32::MAX {
+                id[v as usize] = order.len() as u32;
+                order.push(v);
+            }
+        }
+    }
+    id
+}
+
+/// Nodes reachable from `sources` through `keep` nodes only.
+fn reach_within(graph: &RandomGraph, sources: &[u32], keep: &[bool]) -> Vec<bool> {
+    let mut seen = vec![false; graph.edges.len()];
+    let mut stack: Vec<u32> = sources.to_vec();
+    for &s in sources {
+        seen[s as usize] = true;
+    }
+    while let Some(u) = stack.pop() {
+        for &v in &graph.edges[u as usize] {
+            if keep[v as usize] && !seen[v as usize] {
+                seen[v as usize] = true;
+                stack.push(v);
+            }
+        }
+    }
+    seen
+}
+
+/// Reference fair-cycle search over the subgraph induced by `active`,
+/// component by component from `reference_sccs`: a component is fair
+/// iff it holds a cycle (two or more members, or a self-loop — deadlocks
+/// stutter) and every action is disabled at a member or taken by an
+/// edge between members. Returns the cycle entry the engine must pick:
+/// the fair components' minimal member, by BFS id.
+fn reference_fair_entry(graph: &RandomGraph, sets: &[(u32, u32)], active: &[bool]) -> Option<u32> {
+    let n = graph.edges.len();
+    let all = (1u32 << sets.len()) - 1;
+    let id = bfs_ids(graph);
+    let induced = RandomGraph {
+        edges: (0..n as u32)
+            .map(|u| match &graph.edges[u as usize] {
+                _ if !active[u as usize] => Vec::new(),
+                succs if succs.is_empty() => vec![u],
+                succs => succs
+                    .iter()
+                    .copied()
+                    .filter(|&v| active[v as usize])
+                    .collect(),
+            })
+            .collect(),
+    };
+    reference_sccs(&induced)
+        .into_iter()
+        .filter(|members| active[members[0] as usize])
+        .filter(|members| {
+            let first = members[0];
+            let cyclic = members.len() > 1 || induced.edges[first as usize].contains(&first);
+            let mut support = 0u32;
+            for &u in members {
+                let succs = &graph.edges[u as usize];
+                let enabled = succs
+                    .iter()
+                    .fold(0, |acc, &v| acc | reference_label(sets, u, v));
+                support |= !enabled & all;
+                for &v in succs.iter().filter(|v| members.contains(v)) {
+                    support |= reference_label(sets, u, v);
+                }
+            }
+            cyclic && support == all
+        })
+        .filter_map(|members| members.into_iter().min_by_key(|&v| id[v as usize]))
+        .min_by_key(|&v| id[v as usize])
+}
+
 fn has_edge(graph: &RandomGraph, u: u32, v: u32) -> bool {
     graph.edges[u as usize].contains(&v)
 }
@@ -241,5 +356,48 @@ proptest! {
                 prop_assert!(admissible(&graph, a, b));
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The single-pass fairness support test agrees with the per-SCC
+    /// reference under 1–3 random weak-fairness actions, for `G F p`
+    /// and `p ~> q`: same verdict, and the lasso's cycle starts at the
+    /// reference's entry.
+    #[test]
+    fn fair_component_choice_matches_reference(
+        graph in arb_graph(24),
+        sets in prop::collection::vec((any::<u32>(), any::<u32>()), 1..4),
+        p in any::<u32>(),
+        q in any::<u32>(),
+    ) {
+        let n = graph.edges.len() as u32;
+        let codec = IdentityCodec::new();
+        let fair = FairGraph::build(&graph, &codec, &fair_actions(&sets), 1 << 20);
+        let everywhere = vec![true; n as usize];
+        let reachable = reach_within(&graph, &[0], &everywhere);
+
+        let recurrent = fair.check(&Property::always_eventually("p", move |s: &u32| in_set(p, *s)));
+        let active: Vec<bool> = (0..n).map(|v| reachable[v as usize] && !in_set(p, v)).collect();
+        let expected = reference_fair_entry(&graph, &sets, &active);
+        prop_assert_eq!(recurrent.verdict == Verdict::Violated, expected.is_some());
+        prop_assert_eq!(recurrent.lasso.map(|l| l.cycle()[0]), expected);
+
+        let leads_to = fair.check(&Property::leads_to(
+            "p",
+            move |s: &u32| in_set(p, *s),
+            "q",
+            move |s: &u32| in_set(q, *s),
+        ));
+        let keep: Vec<bool> = (0..n).map(|v| !in_set(q, v)).collect();
+        let sources: Vec<u32> = (0..n)
+            .filter(|&v| reachable[v as usize] && in_set(p, v) && keep[v as usize])
+            .collect();
+        let active = reach_within(&graph, &sources, &keep);
+        let expected = reference_fair_entry(&graph, &sets, &active);
+        prop_assert_eq!(leads_to.verdict == Verdict::Violated, expected.is_some());
+        prop_assert_eq!(leads_to.lasso.map(|l| l.cycle()[0]), expected);
     }
 }
